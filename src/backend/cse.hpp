@@ -39,10 +39,6 @@ struct CseStats {
 struct CseOptions {
   bool use_hli = false;
   const query::HliUnitView* view = nullptr;
-  /// Build one BlockConflictMatrix per basic block and answer the store/
-  /// call invalidation queries with bit tests (answers are bit-identical
-  /// to the scalar view, so the rewritten RTL is too).
-  bool batch_queries = false;
   /// Invoked for every load insn CSE deletes, BEFORE the rewrite, so the
   /// caller can run HLI maintenance (delete_item) on the mapped item.
   std::function<void(format::ItemId)> on_load_deleted;

@@ -39,10 +39,6 @@ struct LicmStats {
 struct LicmOptions {
   bool use_hli = false;
   const query::HliUnitView* view = nullptr;
-  /// Build one BlockConflictMatrix per loop (conflict + loop-carried +
-  /// call planes) and answer the hoisting-safety queries with bit tests;
-  /// bit-identical to the scalar view, so hoisting decisions are too.
-  bool batch_queries = false;
   /// Called for every hoisted load's item with the loop region it left, so
   /// the driver can update the HLI (maintenance move_item_to_region).
   std::function<void(format::ItemId, format::RegionId)> on_load_hoisted;

@@ -60,21 +60,6 @@ struct SchedOptions {
   /// HLI view for the function being scheduled; may be null when use_hli
   /// is false (stats then report hli_yes == gcc_yes pairs only if wanted).
   const query::HliUnitView* view = nullptr;
-  /// Optional pairwise memo for the view's may_conflict answers, keyed on
-  /// the unordered item pair.  Share one cache across scheduling passes of
-  /// the same function (the HLI is not mutated between sched1 and sched2)
-  /// so repeated DDG edge tests hit precomputed answers.  Only the HLI
-  /// answer is cached — the Table 2 counters are incremented per query
-  /// either way, so statistics are unaffected.  Ignored when
-  /// batch_queries is active (the matrix subsumes it).
-  query::ConflictCache* cache = nullptr;
-  /// Answer the block's HLI pair queries from one BlockConflictMatrix
-  /// built per block (single bit tests) instead of per-pair scalar
-  /// may_conflict/get_call_acc calls.  The matrix is bit-identical to the
-  /// scalar view, so the schedule — and every Table 2 counter — is
-  /// byte-identical either way; only the query cost changes.  No effect
-  /// when `view` is null.
-  bool batch_queries = false;
   /// Instruction latency oracle (supplied by the machine model); default
   /// unit latencies when absent.
   std::function<unsigned(const Insn&)> latency;

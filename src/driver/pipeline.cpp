@@ -65,12 +65,6 @@ PipelineOptions PipelineOptions::with_store(const hli::HliStore* store) const {
   return copy;
 }
 
-PipelineOptions PipelineOptions::with_batch_queries(bool on) const {
-  PipelineOptions out = *this;
-  out.batch_queries = on;
-  return out;
-}
-
 PipelineOptions PipelineOptions::with_cse(bool on) const {
   PipelineOptions copy = *this;
   copy.enable_cse = on;
@@ -380,7 +374,6 @@ std::uint64_t options_fingerprint(const PipelineOptions& options) {
   h = fnv1a64_mix(static_cast<std::uint64_t>(options.verify_hli), h);
   h = fnv1a64_mix(static_cast<std::uint64_t>(options.hli_encoding), h);
   h = mix_bool(options.enable_cse, h);
-  h = mix_bool(options.batch_queries, h);  // Changes query counters.
   h = mix_bool(options.enable_constfold, h);
   h = mix_bool(options.enable_dce, h);
   h = mix_bool(options.enable_licm, h);
@@ -755,7 +748,6 @@ CompiledProgram compile_source(std::string_view source,
       CseOptions cse;
       cse.use_hli = options.use_hli;
       cse.view = &view;
-      cse.batch_queries = options.batch_queries;
       cse.on_load_deleted = [&deleted](format::ItemId item) {
         deleted.push_back(item);
       };
@@ -801,7 +793,6 @@ CompiledProgram compile_source(std::string_view source,
       LicmOptions licm;
       licm.use_hli = options.use_hli;
       licm.view = &view;
-      licm.batch_queries = options.batch_queries;
       licm.on_load_hoisted = [&hoisted, &view](format::ItemId item,
                                                format::RegionId loop) {
         hoisted.emplace_back(item, view.parent_region(loop));
@@ -830,19 +821,13 @@ CompiledProgram compile_source(std::string_view source,
       audit_boundary("unroll maintenance");
     }
 
-    // First scheduling pass — the instrumented experiment (Table 2).  The
-    // conflict cache memoizes the view's may_conflict answers per item
-    // pair; it is shared with the post-RA pass below (the HLI is not
-    // mutated between the passes), so sched2 re-tests hit the cache.
-    query::ConflictCache conflict_cache;
+    // First scheduling pass — the instrumented experiment (Table 2).
     if (options.enable_sched) {
       const telemetry::Span span("sched", "pass");
       const query::HliUnitView view(*entry);
       SchedOptions sched;
       sched.use_hli = options.use_hli;
       sched.view = &view;
-      sched.cache = &conflict_cache;
-      sched.batch_queries = options.batch_queries;
       const machine::MachineDesc& mach = options.sched_machine;
       sched.latency = [&mach](const Insn& insn) { return mach.latency(insn); };
       if (irdep_oracle) {
@@ -869,8 +854,6 @@ CompiledProgram compile_source(std::string_view source,
         SchedOptions sched;
         sched.use_hli = options.use_hli;
         sched.view = &view;
-        sched.cache = &conflict_cache;
-        sched.batch_queries = options.batch_queries;
         const machine::MachineDesc& mach = options.sched_machine;
         sched.latency = [&mach](const Insn& insn) { return mach.latency(insn); };
         if (irdep_oracle) {

@@ -126,12 +126,6 @@ struct PipelineOptions {
   /// compilation.  hli_text/hli_bytes stay empty in this mode.
   const hli::HliStore* hli_store = nullptr;
   bool enable_cse = true;
-  /// Answer each pass's HLI pair questions from one per-block (per-loop)
-  /// BlockConflictMatrix — packed bitset planes bit-identical to the
-  /// scalar view, so optimized RTL and all Table 2 statistics are
-  /// byte-identical with this on or off; only query cost changes.  On by
-  /// default; `--no-batch-queries` (tools) forces the scalar path.
-  bool batch_queries = true;
   bool enable_constfold = true;  ///< Combine-style constant folding.
   bool enable_dce = true;  ///< Flow-style cleanup after CSE/LICM.
   bool enable_licm = true;
@@ -205,8 +199,6 @@ struct PipelineOptions {
   /// stays as-is (validate() rejects a store with use_hli off).
   [[nodiscard]] PipelineOptions with_store(const hli::HliStore* store) const;
   [[nodiscard]] PipelineOptions with_cse(bool on) const;
-  /// Per-block conflict-matrix query batching (docs/query-batching.md).
-  [[nodiscard]] PipelineOptions with_batch_queries(bool on) const;
   [[nodiscard]] PipelineOptions with_constfold(bool on) const;
   [[nodiscard]] PipelineOptions with_dce(bool on) const;
   [[nodiscard]] PipelineOptions with_licm(bool on) const;

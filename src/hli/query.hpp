@@ -28,14 +28,11 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "hli/format.hpp"
 
 namespace hli::query {
-
-class BlockConflictMatrix;
 
 using format::HliEntry;
 using format::ItemId;
@@ -126,16 +123,7 @@ class HliUnitView {
   [[nodiscard]] bool class_iteration_disjoint(RegionId loop,
                                               ItemId cls) const;
 
-  /// One past the largest item/class ID the dense arrays cover; every ID
-  /// at or beyond this answers Maybe.  Batch consumers (and the audit)
-  /// use it to size their own per-item tables.
-  [[nodiscard]] std::size_t item_limit() const { return iteminfo_.size(); }
-
  private:
-  /// The batch layer (hli/batch_query.hpp) builds per-block conflict
-  /// bitmatrices by sequentially scanning these tables; it must see the
-  /// same per-item/per-class facts the scalar queries see.
-  friend class BlockConflictMatrix;
   /// Sentinel for "no dense index".
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
@@ -293,32 +281,5 @@ inline EquivAcc HliUnitView::may_conflict(ItemId a, ItemId b) const {
   // Equivalence answered None; the alias table decides.
   return alias_of_classes(ca, cb, lca);
 }
-
-/// Pairwise memo for `may_conflict` answers, keyed on the unordered item
-/// pair (the relation is symmetric).  The scheduler consults the view for
-/// every memory pair of every block and again in the post-RA pass; the
-/// cache lets repeated DDG edge tests over one function hit precomputed
-/// answers.  Only valid for one (entry, generation); clear on rebuild.
-class ConflictCache {
- public:
-  [[nodiscard]] std::optional<EquivAcc> lookup(ItemId a, ItemId b) const {
-    const auto it = map_.find(key(a, b));
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
-  }
-  void insert(ItemId a, ItemId b, EquivAcc answer) {
-    map_.emplace(key(a, b), answer);
-  }
-  void clear() { map_.clear(); }
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
-
- private:
-  [[nodiscard]] static std::uint64_t key(ItemId a, ItemId b) {
-    const std::uint64_t lo = a < b ? a : b;
-    const std::uint64_t hi = a < b ? b : a;
-    return (hi << 32) | lo;
-  }
-  std::unordered_map<std::uint64_t, EquivAcc> map_;
-};
 
 }  // namespace hli::query

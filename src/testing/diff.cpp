@@ -417,15 +417,6 @@ std::vector<DiffConfig> default_matrix() {
     cfg.channel = Channel::StoreBinary;
     matrix.push_back(std::move(cfg));
   }
-  {  // Scalar per-pair HLI queries; the flip leg recompiles with batched
-     // BlockConflictMatrix planes and requires byte-identical RTL.
-    DiffConfig cfg = make_config("hli-scalar-queries", true);
-    enable_all(cfg.options);
-    cfg.options.enable_regalloc = true;  // Covers sched2's matrix too.
-    cfg.options.batch_queries = false;
-    cfg.batch_flip_leg = true;
-    matrix.push_back(std::move(cfg));
-  }
   {  // Thread-pool compile: results must be byte-identical to serial.
     DiffConfig cfg = make_config("hli-parallel", true);
     enable_all(cfg.options);
@@ -535,17 +526,6 @@ DiffResult run_differential(const std::string& source,
                 {cfg.name, "compile_many copy " + std::to_string(i) +
                                " RTL differs from serial compile; "});
           }
-        }
-      }
-      if (cfg.batch_flip_leg) {
-        driver::PipelineOptions flipped = options;
-        flipped.batch_queries = !flipped.batch_queries;
-        driver::CompiledProgram other =
-            driver::compile_source(source, flipped);
-        if (rtl_dump(other.rtl) != rtl_dump(compiled.rtl)) {
-          result.divergences.push_back(
-              {cfg.name,
-               "RTL differs between batched and scalar HLI queries; "});
         }
       }
       if (cfg.service_leg) {

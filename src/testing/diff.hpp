@@ -46,10 +46,6 @@ struct DiffConfig {
   /// Also compile via driver::compile_many (2 copies, 2 jobs) and require
   /// the RTL dump of every copy to be byte-identical to the serial one.
   bool parallel_leg = false;
-  /// Also recompile with `batch_queries` flipped and require the RTL dump
-  /// to be byte-identical — the BlockConflictMatrix bit-identity contract
-  /// (docs/query-batching.md) checked on every fuzzed program.
-  bool batch_flip_leg = false;
   /// Re-run the compiled program under a dynamic loop-dependence oracle
   /// and require every observed loop-carried dependence to be consistent
   /// with the DOALL/DOACROSS claims in CompiledProgram::loop_reports

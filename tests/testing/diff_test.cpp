@@ -33,21 +33,21 @@ bool has_config(const std::vector<ht::DiffConfig>& matrix,
 TEST(DiffTest, MatrixCoversEveryAxis) {
   const std::vector<ht::DiffConfig> matrix = ht::default_matrix();
   // no-HLI native passes, each pass alone, all-on, regalloc, alternate
-  // machine model, binary encoding, both store channels, scalar-query
-  // flip, parallel driver, irdep audit/fallback/classifier legs, the
-  // compile-service round-trip, and threaded execution from HLI-unioned
-  // and irdep-only plans.
+  // machine model, binary encoding, both store channels, parallel
+  // driver, irdep audit/fallback/classifier legs, the compile-service
+  // round-trip, and threaded execution from HLI-unioned and irdep-only
+  // plans.
   for (const char* name :
        {"nohli-all", "hli-cse", "hli-constfold", "hli-dce", "hli-licm",
         "hli-unroll", "hli-sched", "hli-all", "hli-all-regalloc",
         "hli-sched-r4600", "hli-binary", "hli-store-text",
-        "hli-store-binary", "hli-scalar-queries", "hli-parallel",
+        "hli-store-binary", "hli-parallel",
         "hli-audit-deps", "nohli-irdep-fallback", "hli-irdep-fallback",
         "hli-analyze", "hli-service", "hli-exec-threads",
         "nohli-exec-threads"}) {
     EXPECT_TRUE(has_config(matrix, name)) << name;
   }
-  EXPECT_EQ(matrix.size(), 22u);
+  EXPECT_EQ(matrix.size(), 21u);
   for (const ht::DiffConfig& cfg : matrix) {
     if (cfg.options.use_hli) {
       EXPECT_EQ(cfg.options.verify_hli, hli::driver::VerifyMode::Fatal)
