@@ -269,14 +269,22 @@ std::optional<CanonicalLoop> canonicalize_loop(const ForStmt& loop) {
     canon.upper = bound;
     if (canon.upper && inclusive) canon.upper = *canon.upper + 1;
   } else {
-    // Normalize `for (i = H; i > L; i--)` to positive-step orientation; the
-    // LCDD direction normalization (paper §2.2.3) makes the sign of the
-    // source order irrelevant as long as distances stay positive.
+    // Normalize `for (i = H; i > L; i--)` to a positive step over the same
+    // value set.  `reversed` keeps the execution order: which access of a
+    // carried pair runs first (the LCDD source) depends on it.
     canon.step = -delta;
     canon.reversed = true;
     canon.upper = lower ? std::optional<std::int64_t>(*lower + 1) : std::nullopt;
     canon.lower = bound;
     if (canon.lower && !inclusive) canon.lower = *canon.lower + 1;
+    // The values taken are upper-1, upper-1-step, ...; snap lower onto that
+    // lattice so [lower, upper) by +step enumerates exactly them (the
+    // section widening and the weak-zero SIV range check count from
+    // lower).
+    if (canon.lower && canon.upper && *canon.upper > *canon.lower) {
+      const std::int64_t top = *canon.upper - 1;
+      canon.lower = top - (top - *canon.lower) / canon.step * canon.step;
+    }
   }
   return canon;
 }

@@ -203,6 +203,19 @@ TEST_F(SectionTest, ReverseDirectionDetected) {
   EXPECT_EQ(r.b_then_a.distance, 1);
 }
 
+TEST_F(SectionTest, ReversedLoopOrientsArcByExecutionOrder) {
+  // Downward loop: a = writes a[i], b = reads a[i+1].  The iteration after
+  // the one writing a[k] has i == k-1 and reads a[k]: forward arc a->b.
+  // Orienting by the normalized positive step would report b->a, and
+  // unrolling would then alias the wrong copy pairs.
+  CanonicalLoop down = loop_;
+  down.reversed = true;
+  const auto r = section_depend(&down, point(lin(0, 1)), point(lin(1, 1)));
+  EXPECT_EQ(r.a_then_b.kind, CarriedKind::Definite);
+  EXPECT_EQ(r.a_then_b.distance, 1);
+  EXPECT_EQ(r.b_then_a.kind, CarriedKind::None);
+}
+
 TEST_F(SectionTest, PointVsWholeRangeOverlaps) {
   // b[0] vs the widened class b[0..9] — the Figure 2 alias table entry.
   const auto r = section_depend(

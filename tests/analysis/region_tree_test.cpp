@@ -132,6 +132,18 @@ TEST(CanonicalLoopTest, DownwardLoopNormalized) {
   EXPECT_EQ(loop->canonical->upper, 10);
 }
 
+TEST(CanonicalLoopTest, StridedDownwardLoopSnapsLowerToTakenValues) {
+  // Values taken: 10, 7, 4, 1.  lower must be 1 (not the bound 0), so
+  // [lower, upper) by +step enumerates exactly the taken values.
+  auto c = build("void f() { for (int i = 10; i >= 0; i -= 3) { } }");
+  Region* loop = c.tree.root()->children()[0];
+  ASSERT_TRUE(loop->canonical.has_value());
+  EXPECT_TRUE(loop->canonical->reversed);
+  EXPECT_EQ(loop->canonical->step, 3);
+  EXPECT_EQ(loop->canonical->lower, 1);
+  EXPECT_EQ(loop->canonical->upper, 11);
+}
+
 TEST(CanonicalLoopTest, SymbolicBoundStillCanonical) {
   auto c = build("void f(int n) { for (int i = 0; i < n; i++) { } }");
   Region* loop = c.tree.root()->children()[0];

@@ -165,6 +165,48 @@ TEST(FuzzRegressionTest, UnrollKeepsRecurringSubscriptCopiesAliased) {
   EXPECT_FALSE(r.diverged()) << ht::describe(r);
 }
 
+// Reversed-loop LCDD direction (perfbench compile seed 12, program
+// gen-c-22): the section dependence test oriented carried arcs by the
+// normalized positive step, so in a downward loop the store A3[i+32] ->
+// load A3[i+33] flow (the load runs one iteration after the store) was
+// recorded as load -> store.  Unrolling maps an arc's distance onto copy
+// pairs, so it aliased load_k with store_k+1 instead of store_k with
+// load_k+1, and HLI-pruned scheduling hoisted each copy's load above the
+// previous copy's store.  Neither the verifier nor the irdep audit
+// noticed: the unrolled body redefines the IV in every copy, so irdep
+// could not prove the conflict.  Reduced from the 178-line program with
+// the in-tree reducer, then by hand.
+TEST(FuzzRegressionTest, ReversedLoopCarriedFlowSurvivesUnroll) {
+  const char* repro =
+      "int A3[64];\n"
+      "void emit(int v);\n"
+      "int main() {\n"
+      "  for (int i10 = 7; (i10 >= 0); (i10--)) {\n"
+      "    A3[(i10 + 32)] = ((-(i10 << 9)) - ((-(A3[(i10 + 33)] & (-64))) "
+      "| 3));\n"
+      "  }\n"
+      "  for (int i15 = 0; (i15 < 64); (i15++)) {\n"
+      "    emit((A3[i15] & 1048575));\n"
+      "  }\n"
+      "}\n";
+  const ht::DiffResult r =
+      ht::run_differential(repro, ht::default_matrix());
+  ASSERT_FALSE(r.invalid_input) << r.invalid_reason;
+  EXPECT_FALSE(r.diverged()) << ht::describe(r);
+}
+
+// The whole program the reversed-loop reproducer came from.
+TEST(FuzzRegressionTest, ReversedLoopUnrollProgramStaysClean) {
+  ht::GenOptions gen;
+  gen.seed = 15866137586002661091ull;
+  gen.main_stmts = 96;
+  gen.max_helpers = 0;
+  const ht::DiffResult r =
+      ht::run_differential(ht::generate_source(gen), ht::default_matrix());
+  ASSERT_FALSE(r.invalid_input) << r.invalid_reason;
+  EXPECT_FALSE(r.diverged()) << ht::describe(r);
+}
+
 TEST(FuzzRegressionTest, AuditSeedsStayClean) {
   for (std::uint64_t seed :
        {203ull, 707ull, 803ull, 877ull, 1066ull, 1152ull, 1234ull, 1632ull,
