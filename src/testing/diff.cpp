@@ -85,10 +85,9 @@ RunObservation observe(const driver::CompiledProgram& compiled,
   RunObservation obs;
   obs.compile_ok = true;
   // Generated programs are tiny (a few KB of globals, <=16K-trip nests):
-  // a small arena and insn budget keep a 13-config differential run
-  // cheap, and a budget trip still flags the config as divergent.
+  // a small insn budget keeps a 13-config differential run cheap, and a
+  // budget trip still flags the config as divergent.
   backend::InterpOptions interp;
-  interp.memory_bytes = 4u << 20;
   interp.max_insns = max_insns;
   const backend::RunResult run =
       backend::run_program(compiled.rtl, "main", nullptr, interp);
@@ -567,7 +566,6 @@ DiffResult run_differential(const std::string& source,
         // dependence it observes must fit the classifier's claims.
         LoopDepOracle oracle(compiled.rtl, compiled.loop_reports);
         backend::InterpOptions interp;
-        interp.memory_bytes = 4u << 20;
         interp.max_insns = max_insns;
         (void)backend::run_program(compiled.rtl, "main", &oracle, interp);
         for (const std::string& message : oracle.contradictions()) {
@@ -576,7 +574,6 @@ DiffResult run_differential(const std::string& source,
       }
       if (cfg.exec_threads_leg && defect == PlantedDefect::None) {
         backend::InterpOptions serial;
-        serial.memory_bytes = 4u << 20;
         serial.max_insns = max_insns;
         backend::InterpOptions threaded = serial;
         threaded.exec_threads = 4;

@@ -133,5 +133,115 @@ TEST(InterpTest, TraceSinkSeesMemoryAddresses) {
   EXPECT_EQ(sink.store_addrs[1] - sink.store_addrs[0], 4u);
 }
 
+// --- Hand-built RTL: malformed programs must fail with an interp: error,
+// never escape run_program as an exception. ---
+
+Insn op(Opcode code, Reg rd = kNoReg, Reg rs1 = kNoReg, Reg rs2 = kNoReg) {
+  Insn insn;
+  insn.op = code;
+  insn.rd = rd;
+  insn.rs1 = rs1;
+  insn.rs2 = rs2;
+  return insn;
+}
+
+Insn imm(Reg rd, std::int64_t value) {
+  Insn insn = op(Opcode::LoadImm, rd);
+  insn.imm = value;
+  return insn;
+}
+
+Insn branch(Opcode code, std::int32_t label, Reg rs1 = kNoReg) {
+  Insn insn = op(code, kNoReg, rs1);
+  insn.label = label;
+  return insn;
+}
+
+Insn call(const std::string& callee) {
+  Insn insn = op(Opcode::Call);
+  insn.callee = callee;
+  return insn;
+}
+
+Insn store(Reg addr, Reg value, std::uint8_t size) {
+  Insn insn = op(Opcode::Store, kNoReg, addr, value);
+  insn.mem.size = size;
+  return insn;
+}
+
+RtlFunction function(const std::string& name, std::vector<Insn> insns) {
+  RtlFunction f;
+  f.name = name;
+  f.num_regs = 4;
+  f.insns = std::move(insns);
+  return f;
+}
+
+void expect_interp_error(const RunResult& r, const std::string& detail) {
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.rfind("interp: ", 0), 0u) << r.error;
+  EXPECT_NE(r.error.find(detail), std::string::npos) << r.error;
+}
+
+TEST(InterpTest, BranchToUndefinedLabelFailsCleanly) {
+  RtlProgram prog;
+  prog.functions.push_back(function(
+      "main", {imm(1, 0), branch(Opcode::BranchZ, 7, 1), op(Opcode::Return)}));
+  expect_interp_error(run_program(prog), "undefined label 7");
+
+  // Target validation covers every function, called or not.
+  RtlProgram dead;
+  dead.functions.push_back(function("main", {op(Opcode::Return)}));
+  dead.functions.push_back(function("dead", {branch(Opcode::Jump, 3)}));
+  expect_interp_error(run_program(dead), "undefined label 3 in 'dead'");
+}
+
+TEST(InterpTest, DuplicateLabelResolvesToLastDefinition) {
+  Insn first = op(Opcode::Label);
+  first.label = 5;
+  Insn second = first;
+  RtlProgram prog;
+  prog.functions.push_back(function(
+      "main", {branch(Opcode::Jump, 5), first, imm(1, 1), second,
+               op(Opcode::Return, kNoReg, 1)}));
+  const RunResult r = run_program(prog);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.return_value, 0);  // The imm between the labels is skipped.
+}
+
+TEST(InterpTest, UnknownCalleeFailsCleanlyWhenReached) {
+  RtlProgram prog;
+  prog.functions.push_back(
+      function("main", {call("nowhere"), op(Opcode::Return)}));
+  expect_interp_error(run_program(prog), "unknown extern 'nowhere'");
+
+  // A call that never executes is not an error.
+  Insn skip = op(Opcode::Label);
+  skip.label = 1;
+  RtlProgram untaken;
+  untaken.functions.push_back(function(
+      "main", {branch(Opcode::Jump, 1), call("nowhere"), skip,
+               op(Opcode::Return)}));
+  const RunResult r = run_program(untaken);
+  EXPECT_TRUE(r.ok) << r.error;
+}
+
+TEST(InterpTest, StoreJustPastArenaEndFailsCleanly) {
+  InterpOptions options;
+  options.memory_bytes = 1u << 16;
+  const auto store_at = [&](std::int64_t address, std::uint8_t size) {
+    RtlProgram prog;
+    prog.functions.push_back(function(
+        "main", {imm(1, address), imm(2, 9), store(1, 2, size),
+                 op(Opcode::Return)}));
+    return run_program(prog, "main", nullptr, options);
+  };
+  EXPECT_TRUE(store_at((1 << 16) - 4, 4).ok);  // The last word fits.
+  expect_interp_error(store_at((1 << 16) - 2, 4), "out of range");
+  expect_interp_error(store_at(1 << 16, 8), "out of range");
+  // An address whose end wraps past 2^64 must not slip under the bound.
+  expect_interp_error(store_at(-4, 8), "out of range");
+}
+
 }  // namespace
 }  // namespace hli::backend

@@ -313,4 +313,21 @@ TEST(HlicCliTest, StatsJsonCarriesLoopChannelUnderAnalyzeLoops) {
       << result.output;
 }
 
+TEST(HlicCliTest, TraceOutCarriesExecutionSpans) {
+  const std::string trace = unique_temp_path("exec_trace.json");
+  const RunResult result =
+      run_hlic("wc --run --simulate=r4600 --trace-out=" + trace);
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  std::ifstream in(trace);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = std::move(buffer).str();
+  EXPECT_NE(json.find("{\"name\":\"run\",\"cat\":\"exec\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"name\":\"simulate\",\"cat\":\"exec\""),
+            std::string::npos)
+      << json;
+}
+
 }  // namespace

@@ -47,6 +47,7 @@
 #include "hli/verify.hpp"
 #include "service/client.hpp"
 #include "support/diagnostics.hpp"
+#include "support/telemetry.hpp"
 #include "tools/options.hpp"
 #include "workloads/workloads.hpp"
 
@@ -242,8 +243,15 @@ int emit(const CliOptions& options, const driver::CompiledProgram& compiled) {
                 tools::render_counters_table(compiled.counters.total, 2)
                     .c_str());
   }
+  // Execution spans: with --trace-out the timeline shows the interpreter
+  // and the timing model next to the compile passes.
+  const telemetry::ScopedRecorder exec_recorder(
+      nullptr, options.pipeline.telemetry.tracer);
   if (options.run) {
-    const backend::RunResult result = driver::execute(compiled);
+    const backend::RunResult result = [&] {
+      const telemetry::Span span("run", "exec");
+      return driver::execute(compiled);
+    }();
     if (!result.ok) {
       std::fprintf(stderr, "hlic: run failed: %s\n", result.error.c_str());
       return 1;
@@ -283,7 +291,10 @@ int emit(const CliOptions& options, const driver::CompiledProgram& compiled) {
                    options.simulate.c_str());
       return 1;
     }
-    const driver::SimResult sim = driver::simulate(compiled, mach);
+    const driver::SimResult sim = [&] {
+      const telemetry::Span span("simulate", "exec");
+      return driver::simulate(compiled, mach);
+    }();
     if (!sim.run.ok) {
       std::fprintf(stderr, "hlic: simulation failed: %s\n",
                    sim.run.error.c_str());
