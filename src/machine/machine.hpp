@@ -26,7 +26,8 @@ struct MachineDesc {
 
   // Cache: direct-mapped L1D; a miss adds `lat_miss` to the load latency.
   // The OoO core overlaps outstanding misses (memory-level parallelism),
-  // the in-order core stalls at the dependent use.
+  // the in-order core stalls at the dependent use.  Both geometry figures
+  // must be powers of two.
   unsigned cache_line_bytes = 32;
   unsigned cache_lines = 1024;  ///< 32 KB, matching both papers' targets.
   unsigned lat_miss = 12;
