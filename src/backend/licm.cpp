@@ -83,8 +83,9 @@ std::vector<Loop> find_innermost_loops(const RtlFunction& func) {
 class LoopLicm {
  public:
   LoopLicm(RtlFunction& func, const Loop& loop, const LicmOptions& options,
-           LicmStats& stats)
-      : func_(func), loop_(loop), options_(options), stats_(stats) {}
+           const std::vector<std::uint32_t>& defs, LicmStats& stats)
+      : func_(func), loop_(loop), options_(options), defs_(defs),
+        stats_(stats) {}
 
   void run() {
     collect_defs();
@@ -142,24 +143,12 @@ class LoopLicm {
   }
 
   /// The register must be defined exactly once in the loop (our lowering's
-  /// expression temps) so moving the single definition is sound.
+  /// expression temps) so moving the single definition is sound; a
+  /// definition anywhere outside the loop would be clobbered early.  `rd`
+  /// is the destination of a candidate inside the loop, so that one
+  /// definition is in the loop exactly when it is the function's only one.
   [[nodiscard]] bool single_def(Reg rd) const {
-    if (rd == kNoReg) return false;
-    std::size_t defs = 0;
-    for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-      const Insn& insn = func_.insns[i];
-      const Reg w = insn.op == Opcode::Store ? kNoReg : insn.rd;
-      if (w == rd) ++defs;
-    }
-    // Also reject registers defined anywhere outside the loop: hoisting
-    // would then clobber the outer value early.
-    for (std::size_t i = 0; i < func_.insns.size(); ++i) {
-      if (i > loop_.beg && i < loop_.end) continue;
-      const Insn& insn = func_.insns[i];
-      const Reg w = insn.op == Opcode::Store ? kNoReg : insn.rd;
-      if (w == rd) return false;
-    }
-    return defs == 1;
+    return rd != kNoReg && defs_[static_cast<std::size_t>(rd)] == 1;
   }
 
   [[nodiscard]] bool no_conflicting_writes(const Insn& load,
@@ -215,36 +204,28 @@ class LoopLicm {
     return true;
   }
 
+  /// Reorders the loop's span to [preheader][LoopBeg][body]; the
+  /// LoopBeg note moves after the hoisted code and nothing outside the
+  /// span moves.
   void rewrite() {
     if (hoisted_.empty()) return;
-    std::vector<Insn> preheader;
-    std::vector<Insn> body;
-    preheader.reserve(hoisted_.size());
+    std::vector<Insn> span;
+    span.reserve(loop_.end - loop_.beg);
     for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
-      if (hoisted_.contains(i)) {
-        preheader.push_back(func_.insns[i]);
-      } else {
-        body.push_back(func_.insns[i]);
-      }
+      if (hoisted_.contains(i)) span.push_back(std::move(func_.insns[i]));
     }
-    // Layout: [preheader][LoopBeg][body][LoopEnd...]; the LoopBeg note
-    // moves after the hoisted code.
-    std::vector<Insn> rebuilt;
-    rebuilt.reserve(func_.insns.size());
-    rebuilt.insert(rebuilt.end(), func_.insns.begin(),
-                   func_.insns.begin() + static_cast<std::ptrdiff_t>(loop_.beg));
-    rebuilt.insert(rebuilt.end(), preheader.begin(), preheader.end());
-    rebuilt.push_back(func_.insns[loop_.beg]);
-    rebuilt.insert(rebuilt.end(), body.begin(), body.end());
-    rebuilt.insert(rebuilt.end(),
-                   func_.insns.begin() + static_cast<std::ptrdiff_t>(loop_.end),
-                   func_.insns.end());
-    func_.insns = std::move(rebuilt);
+    span.push_back(std::move(func_.insns[loop_.beg]));
+    for (std::size_t i = loop_.beg + 1; i < loop_.end; ++i) {
+      if (!hoisted_.contains(i)) span.push_back(std::move(func_.insns[i]));
+    }
+    std::move(span.begin(), span.end(),
+              func_.insns.begin() + static_cast<std::ptrdiff_t>(loop_.beg));
   }
 
   RtlFunction& func_;
   const Loop& loop_;
   const LicmOptions& options_;
+  const std::vector<std::uint32_t>& defs_;  ///< Definitions per register.
   LicmStats& stats_;
   std::set<Reg> defs_in_loop_;
   std::set<std::size_t> hoisted_;
@@ -254,24 +235,27 @@ class LoopLicm {
 
 LicmStats licm_function(RtlFunction& func, const LicmOptions& options) {
   LicmStats stats;
-  // Process loops one at a time; indices shift after each rewrite, so
-  // re-discover until no further hoisting happens.
-  bool changed = true;
+  // A rewrite only permutes its own loop's span (the hoisted code moves
+  // ahead of LoopBeg, LoopEnd stays), so the definition counts hold for
+  // the whole pass and the other innermost loops keep their indices: one
+  // discovery serves every loop.  A region is processed once.
+  std::vector<std::uint32_t> defs;
+  for (const Insn& insn : func.insns) {
+    const Reg w = insn.op == Opcode::Store ? kNoReg : insn.rd;
+    if (w == kNoReg) continue;
+    const auto r = static_cast<std::size_t>(w);
+    if (r >= defs.size()) defs.resize(r + 1, 0);
+    ++defs[r];
+  }
   std::set<format::RegionId> processed;
-  while (changed) {
-    changed = false;
-    for (const Loop& loop : find_innermost_loops(func)) {
-      const format::RegionId region = func.insns[loop.beg].loop_region;
-      if (processed.contains(region)) continue;
-      processed.insert(region);
-      // Each prior rewrite shifted indices; the oracle must answer for the
-      // stream as it is now.
-      if (options.fallback != nullptr) options.fallback->refresh(func);
-      LoopLicm licm(func, loop, options, stats);
-      licm.run();
-      changed = true;
-      break;  // Indices invalidated: rescan.
-    }
+  for (const Loop& loop : find_innermost_loops(func)) {
+    const format::RegionId region = func.insns[loop.beg].loop_region;
+    if (!processed.insert(region).second) continue;
+    // Each prior rewrite reordered the stream; the oracle must answer for
+    // the stream as it is now.
+    if (options.fallback != nullptr) options.fallback->refresh(func);
+    LoopLicm licm(func, loop, options, defs, stats);
+    licm.run();
   }
   return stats;
 }

@@ -1,5 +1,6 @@
 #include "backend/unroll.hpp"
 
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -115,123 +116,130 @@ std::set<Reg> upward_exposed(const RtlFunction& func, std::size_t begin,
   return exposed;
 }
 
+/// Adds one to `reads[r]` for every register `insn` reads (rs1, rs2 and
+/// argument registers), growing `reads` as needed.
+void count_reads(const Insn& insn, std::vector<std::uint32_t>& reads) {
+  const auto add = [&reads](Reg r) {
+    const auto idx = static_cast<std::size_t>(r);
+    if (idx >= reads.size()) reads.resize(idx + 1, 0);
+    ++reads[idx];
+  };
+  if (insn.rs1 != kNoReg) add(insn.rs1);
+  if (insn.rs2 != kNoReg) add(insn.rs2);
+  for (const Reg r : insn.args) add(r);
+}
+
 }  // namespace
 
 UnrollStats unroll_function(RtlFunction& func, const UnrollOptions& options) {
   UnrollStats stats;
   if (options.factor < 2) return stats;
 
-  bool changed = true;
-  std::set<format::RegionId> done;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < func.insns.size(); ++i) {
-      if (func.insns[i].op != Opcode::LoopBeg) continue;
-      const format::RegionId region = func.insns[i].loop_region;
-      if (done.contains(region)) continue;
-      done.insert(region);
+  // Reads of each register across the function, kept current as copies
+  // are spliced in.  A register is read outside a segment exactly when
+  // it has more reads than the segment holds.
+  std::vector<std::uint32_t> reads;
+  for (const Insn& insn : func.insns) count_reads(insn, reads);
 
-      LoopShape shape;
-      if (!match_loop(func, i, shape) ||
-          *func.insns[i].trip_count % options.factor != 0 ||
-          *func.insns[i].trip_count == 0) {
+  // One forward scan: a splice only inserts LoopBeg-free copies after
+  // the loop's own body, so every LoopBeg not yet visited lies ahead.
+  std::set<format::RegionId> done;
+  for (std::size_t i = 0; i < func.insns.size(); ++i) {
+    if (func.insns[i].op != Opcode::LoopBeg) continue;
+    const format::RegionId region = func.insns[i].loop_region;
+    if (!done.insert(region).second) continue;
+
+    LoopShape shape;
+    if (!match_loop(func, i, shape) ||
+        *func.insns[i].trip_count % options.factor != 0 ||
+        *func.insns[i].trip_count == 0) {
+      ++stats.loops_rejected;
+      continue;
+    }
+
+    // HLI maintenance first (it can refuse, e.g. non-innermost region).
+    maintain::UnrollUpdate update;
+    if (options.entry != nullptr && region != format::kNoRegion) {
+      update = maintain::unroll_loop(*options.entry, region, options.factor);
+      if (!update.ok) {
         ++stats.loops_rejected;
         continue;
       }
-
-      // HLI maintenance first (it can refuse, e.g. non-innermost region).
-      maintain::UnrollUpdate update;
-      if (options.entry != nullptr && region != format::kNoRegion) {
-        update = maintain::unroll_loop(*options.entry, region, options.factor);
-        if (!update.ok) {
-          ++stats.loops_rejected;
-          continue;
-        }
-      }
-
-      // Build the unrolled body: copies 1..factor-1 of [body_begin, jump),
-      // with non-carried registers renamed and HLI items re-stamped.
-      const std::size_t seg_begin = shape.body_begin;
-      const std::size_t seg_end = shape.jump;
-      const std::set<Reg> carried = upward_exposed(func, seg_begin, seg_end);
-
-      // Registers read anywhere outside the copied segment must also keep
-      // their names: renaming a live-out definition leaves the post-loop
-      // read seeing the first copy's (stale) value instead of the last
-      // iteration's.  Found by differential fuzzing (seed 3334): a loop
-      // whose body only overwrites an accumulator read after the loop has
-      // no upward-exposed use of it, so `carried` alone misses it.
-      std::set<Reg> live_outside;
-      for (std::size_t k = 0; k < func.insns.size(); ++k) {
-        if (k >= seg_begin && k < seg_end) continue;
-        const Insn& insn = func.insns[k];
-        if (insn.rs1 != kNoReg) live_outside.insert(insn.rs1);
-        if (insn.rs2 != kNoReg) live_outside.insert(insn.rs2);
-        for (const Reg r : insn.args) live_outside.insert(r);
-      }
-
-      std::vector<Insn> expanded;
-      for (std::size_t k = seg_begin; k < seg_end; ++k) {
-        expanded.push_back(func.insns[k]);
-      }
-      for (unsigned copy = 1; copy < options.factor; ++copy) {
-        std::map<Reg, Reg> rename;
-        for (std::size_t k = seg_begin; k < seg_end; ++k) {
-          Insn insn = func.insns[k];
-          if (insn.op == Opcode::Label) continue;  // Drop inner labels.
-          // Rename uses first (pre-rename values), then the definition.
-          auto rename_use = [&](Reg& r) {
-            const auto it = rename.find(r);
-            if (it != rename.end()) r = it->second;
-          };
-          if (insn.rs1 != kNoReg) rename_use(insn.rs1);
-          if (insn.rs2 != kNoReg) rename_use(insn.rs2);
-          for (Reg& r : insn.args) rename_use(r);
-          const Reg w = insn.op == Opcode::Store ? kNoReg : insn.rd;
-          if (w != kNoReg && !carried.contains(w) &&
-              !live_outside.contains(w)) {
-            const Reg fresh = func.fresh_reg();
-            rename[w] = fresh;
-            insn.rd = fresh;
-          }
-          // Re-stamp HLI items with the copy's IDs.
-          if (options.entry != nullptr) {
-            if (is_memory_op(insn.op) && insn.mem.hli_item != format::kNoItem) {
-              const auto it = update.item_copies.find(insn.mem.hli_item);
-              if (it != update.item_copies.end() && copy < it->second.size()) {
-                insn.mem.hli_item = it->second[copy];
-              } else {
-                insn.mem.hli_item = format::kNoItem;
-              }
-            } else if (insn.op == Opcode::Call &&
-                       insn.hli_item != format::kNoItem) {
-              // Calls are cloned without per-copy effect entries: drop the
-              // item so queries stay conservative for the clone.
-              insn.hli_item = format::kNoItem;
-            }
-          } else if (is_memory_op(insn.op)) {
-            insn.mem.hli_item = format::kNoItem;
-          }
-          expanded.push_back(std::move(insn));
-        }
-      }
-
-      // Splice: [.. branch] expanded [jump ..].
-      std::vector<Insn> rebuilt;
-      rebuilt.reserve(func.insns.size() + expanded.size());
-      rebuilt.insert(rebuilt.end(), func.insns.begin(),
-                     func.insns.begin() + static_cast<std::ptrdiff_t>(seg_begin));
-      rebuilt.insert(rebuilt.end(), expanded.begin(), expanded.end());
-      rebuilt.insert(rebuilt.end(),
-                     func.insns.begin() + static_cast<std::ptrdiff_t>(shape.jump),
-                     func.insns.end());
-      func.insns = std::move(rebuilt);
-
-      ++stats.loops_unrolled;
-      stats.copies_made += options.factor - 1;
-      changed = true;
-      break;  // Indices shifted: rescan.
     }
+
+    // Build the unrolled body: copies 1..factor-1 of [body_begin, jump),
+    // with non-carried registers renamed and HLI items re-stamped.
+    const std::size_t seg_begin = shape.body_begin;
+    const std::size_t seg_end = shape.jump;
+    const std::set<Reg> carried = upward_exposed(func, seg_begin, seg_end);
+
+    // Registers read anywhere outside the copied segment must also keep
+    // their names: renaming a live-out definition leaves the post-loop
+    // read seeing the first copy's (stale) value instead of the last
+    // iteration's.  Found by differential fuzzing (seed 3334): a loop
+    // whose body only overwrites an accumulator read after the loop has
+    // no upward-exposed use of it, so `carried` alone misses it.
+    std::vector<std::uint32_t> seg_reads;
+    for (std::size_t k = seg_begin; k < seg_end; ++k) {
+      count_reads(func.insns[k], seg_reads);
+    }
+    const auto live_outside = [&](Reg r) {
+      const auto idx = static_cast<std::size_t>(r);
+      const std::uint32_t inside = idx < seg_reads.size() ? seg_reads[idx] : 0;
+      return idx < reads.size() && reads[idx] > inside;
+    };
+
+    std::vector<Insn> copies;
+    for (unsigned copy = 1; copy < options.factor; ++copy) {
+      std::map<Reg, Reg> rename;
+      for (std::size_t k = seg_begin; k < seg_end; ++k) {
+        Insn insn = func.insns[k];
+        if (insn.op == Opcode::Label) continue;  // Drop inner labels.
+        // Rename uses first (pre-rename values), then the definition.
+        auto rename_use = [&](Reg& r) {
+          const auto it = rename.find(r);
+          if (it != rename.end()) r = it->second;
+        };
+        if (insn.rs1 != kNoReg) rename_use(insn.rs1);
+        if (insn.rs2 != kNoReg) rename_use(insn.rs2);
+        for (Reg& r : insn.args) rename_use(r);
+        const Reg w = insn.op == Opcode::Store ? kNoReg : insn.rd;
+        if (w != kNoReg && !carried.contains(w) && !live_outside(w)) {
+          const Reg fresh = func.fresh_reg();
+          rename[w] = fresh;
+          insn.rd = fresh;
+        }
+        // Re-stamp HLI items with the copy's IDs.
+        if (options.entry != nullptr) {
+          if (is_memory_op(insn.op) && insn.mem.hli_item != format::kNoItem) {
+            const auto it = update.item_copies.find(insn.mem.hli_item);
+            if (it != update.item_copies.end() && copy < it->second.size()) {
+              insn.mem.hli_item = it->second[copy];
+            } else {
+              insn.mem.hli_item = format::kNoItem;
+            }
+          } else if (insn.op == Opcode::Call &&
+                     insn.hli_item != format::kNoItem) {
+            // Calls are cloned without per-copy effect entries: drop the
+            // item so queries stay conservative for the clone.
+            insn.hli_item = format::kNoItem;
+          }
+        } else if (is_memory_op(insn.op)) {
+          insn.mem.hli_item = format::kNoItem;
+        }
+        copies.push_back(std::move(insn));
+      }
+    }
+
+    // Splice: [.. jump) copies [jump ..].
+    for (const Insn& insn : copies) count_reads(insn, reads);
+    func.insns.insert(
+        func.insns.begin() + static_cast<std::ptrdiff_t>(shape.jump),
+        std::make_move_iterator(copies.begin()),
+        std::make_move_iterator(copies.end()));
+
+    ++stats.loops_unrolled;
+    stats.copies_made += options.factor - 1;
   }
   return stats;
 }

@@ -14,6 +14,7 @@
 #include "frontend/sema.hpp"
 #include "frontend/hligen.hpp"
 #include "hli/query.hpp"
+#include "sched_reference.hpp"
 
 namespace hli::backend {
 namespace {
@@ -443,6 +444,142 @@ int main() { int i = 1; a[i] = 5; a[i+1] = 6; return a[i]; }
   const DepStats stats = schedule_function(*c.rtl.find_function("main"), opts);
   EXPECT_EQ(stats.gcc_yes, stats.hli_yes);  // Fallback: hli == native.
   EXPECT_EQ(c.run(), 5);
+}
+
+// Hand-built blocks for the corners of the register dependences and the
+// ready-list order.  Each block is scheduled (a Return closes it) and the
+// result must equal the reference scheduler's and the expected order,
+// given as positions in the source block.
+
+Insn sched_insn(Opcode code, Reg rd, Reg rs1 = kNoReg, Reg rs2 = kNoReg,
+                std::int64_t imm = 0) {
+  Insn insn;
+  insn.op = code;
+  insn.rd = rd;
+  insn.rs1 = rs1;
+  insn.rs2 = rs2;
+  insn.imm = imm;
+  return insn;
+}
+
+Insn sched_call(Reg rd, const std::string& callee, std::vector<Reg> args) {
+  Insn insn = sched_insn(Opcode::Call, rd);
+  insn.callee = callee;
+  insn.args = std::move(args);
+  return insn;
+}
+
+std::vector<std::size_t> schedule_block(
+    const std::vector<Insn>& block,
+    std::function<unsigned(const Insn&)> latency = {}) {
+  RtlFunction func;
+  func.name = "block";
+  func.num_regs = 8;
+  func.insns = block;
+  func.insns.push_back(sched_insn(Opcode::Return, kNoReg));
+  SchedOptions opts;
+  opts.latency = std::move(latency);
+  RtlFunction expected = func;
+  const DepStats want = reference::schedule_function(expected, opts);
+  const DepStats got = schedule_function(func, opts);
+  EXPECT_EQ(to_string(func), to_string(expected));
+  EXPECT_EQ(got.mem_queries, want.mem_queries);
+  EXPECT_EQ(got.call_queries, want.call_queries);
+  EXPECT_EQ(got.call_edges_native, want.call_edges_native);
+  EXPECT_EQ(got.scheduled_insns, want.scheduled_insns);
+  std::vector<std::size_t> order;
+  for (std::size_t k = 0; k < block.size(); ++k) {
+    const std::string text = to_string(func.insns[k]);
+    for (std::size_t at = 0; at < block.size(); ++at) {
+      if (to_string(block[at]) == text) order.push_back(at);
+    }
+  }
+  return order;
+}
+
+using Order = std::vector<std::size_t>;
+
+TEST(SchedTest, SameRegisterInBothOperands) {
+  // Mul r1 = r0 * r0 depends on r0's writer once, not twice: a doubled
+  // predecessor count would never release it.
+  const std::vector<Insn> block = {
+      sched_insn(Opcode::LoadImm, 0, kNoReg, kNoReg, 2),
+      sched_insn(Opcode::Mul, 1, 0, 0),
+      sched_insn(Opcode::Add, 2, 1, 1),
+      sched_insn(Opcode::Add, 3, 2, 2),
+      sched_insn(Opcode::LoadImm, 4, kNoReg, kNoReg, 9)};
+  EXPECT_EQ(schedule_block(block), (Order{0, 1, 2, 3, 4}));
+}
+
+TEST(SchedTest, CallArgumentsAreReads) {
+  // Both argument registers order their writers before the call; without
+  // those edges the call chain (priority 3) would go first.
+  const std::vector<Insn> block = {
+      sched_insn(Opcode::LoadImm, 0, kNoReg, kNoReg, 7),
+      sched_insn(Opcode::LoadImm, 1, kNoReg, kNoReg, 8),
+      sched_call(2, "f", {0, 1}),
+      sched_call(3, "g", {}),
+      sched_insn(Opcode::Add, 4, 3, 3)};
+  EXPECT_EQ(schedule_block(block), (Order{0, 1, 2, 3, 4}));
+}
+
+TEST(SchedTest, StoreValueIsReadNotWritten) {
+  // The store reads r1 (rs2), so rewriting r1 waits for it (anti).
+  const std::vector<Insn> anti = {
+      sched_insn(Opcode::LoadImm, 0, kNoReg, kNoReg, 64),
+      sched_insn(Opcode::LoadImm, 1, kNoReg, kNoReg, 9),
+      sched_insn(Opcode::Store, kNoReg, 0, 1),
+      sched_insn(Opcode::LoadImm, 1, kNoReg, kNoReg, 5),
+      sched_insn(Opcode::Add, 2, 1, 1),
+      sched_insn(Opcode::Add, 3, 2, 2)};
+  EXPECT_EQ(schedule_block(anti), (Order{0, 1, 2, 3, 4, 5}));
+  // A store writes no register, even with its rd field set: a later
+  // reader of r1 depends on r1's LoadImm only and may pass the store.
+  const std::vector<Insn> no_write = {
+      sched_insn(Opcode::LoadImm, 0, kNoReg, kNoReg, 64),
+      sched_insn(Opcode::LoadImm, 1, kNoReg, kNoReg, 9),
+      sched_insn(Opcode::Store, 1, 0, 1),
+      sched_insn(Opcode::Add, 2, 1, 1),
+      sched_insn(Opcode::Add, 3, 2, 2),
+      sched_insn(Opcode::Add, 4, 3, 3)};
+  EXPECT_EQ(schedule_block(no_write), (Order{1, 3, 0, 4, 2, 5}));
+}
+
+TEST(SchedTest, RegisterWrittenTwiceInOneBlock) {
+  // WAR: the second write of r1 waits for the read of the first value.
+  const std::vector<Insn> war = {
+      sched_insn(Opcode::LoadImm, 1, kNoReg, kNoReg, 1),
+      sched_insn(Opcode::Add, 2, 1, 1),
+      sched_insn(Opcode::LoadImm, 1, kNoReg, kNoReg, 5),
+      sched_insn(Opcode::Add, 3, 1, 1),
+      sched_insn(Opcode::Add, 4, 3, 3),
+      sched_insn(Opcode::Add, 5, 4, 4)};
+  EXPECT_EQ(schedule_block(war), (Order{0, 1, 2, 3, 4, 5}));
+  // WAW: a 4-cycle Mul that rewrites r1 (reading r7, which the block
+  // never writes) would go first without the output dependence.
+  const std::vector<Insn> waw = {
+      sched_insn(Opcode::LoadImm, 1, kNoReg, kNoReg, 1),
+      sched_insn(Opcode::Mul, 1, 7, 7),
+      sched_insn(Opcode::Add, 3, 1, 1)};
+  const auto mul_is_slow = [](const Insn& insn) {
+    return insn.op == Opcode::Mul ? 4u : 1u;
+  };
+  EXPECT_EQ(schedule_block(waw, mul_is_slow), (Order{0, 1, 2}));
+}
+
+TEST(SchedTest, EqualPriorityKeepsSourceOrder) {
+  // Instructions 1 and 2 both have priority 1; 1 becomes ready only after
+  // 0 is picked, yet still goes before 2.
+  const std::vector<Insn> block = {
+      sched_insn(Opcode::LoadImm, 1, kNoReg, kNoReg, 1),
+      sched_insn(Opcode::Add, 2, 1, 1),
+      sched_insn(Opcode::LoadImm, 3, kNoReg, kNoReg, 3)};
+  EXPECT_EQ(schedule_block(block), (Order{0, 1, 2}));
+  const std::vector<Insn> independent = {
+      sched_insn(Opcode::LoadImm, 1, kNoReg, kNoReg, 1),
+      sched_insn(Opcode::LoadImm, 2, kNoReg, kNoReg, 2),
+      sched_insn(Opcode::LoadImm, 3, kNoReg, kNoReg, 3)};
+  EXPECT_EQ(schedule_block(independent), (Order{0, 1, 2}));
 }
 
 }  // namespace
