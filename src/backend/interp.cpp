@@ -553,11 +553,8 @@ class Interp {
           if (sink_ != nullptr) sink_->on_insn(event);
           const bool zero = regs[insn.rs1].i == 0;
           const bool taken = insn.op == Opcode::BranchZ ? zero : !zero;
-          if (taken) {
-            pc = links[pc].target;
-            continue;
-          }
-          break;
+          pc = taken ? links[pc].target : pc + 1;
+          continue;
         }
         case Opcode::Call: {
           // Sink order matters: the timing models see the Call event

@@ -226,6 +226,39 @@ TEST(InterpTest, UnknownCalleeFailsCleanlyWhenReached) {
   EXPECT_TRUE(r.ok) << r.error;
 }
 
+TEST(InterpTest, TraceSinkSeesEachExecutedInsnOnce) {
+  // A countdown loop whose exit branch falls through twice and is taken
+  // once.  The sink must see every executed instruction once, except the
+  // Label notes: 2 before the loop, 3 per pass through the body (branch,
+  // add, jump), the final taken branch and the Return.
+  class Counter : public TraceSink {
+   public:
+    void on_insn(const TraceEvent& event) override {
+      ++events;
+      if (is_branch(event.insn->op)) ++branches;
+    }
+    std::uint64_t events = 0;
+    std::uint64_t branches = 0;
+  };
+  Insn top = op(Opcode::Label);
+  top.label = 1;
+  Insn done = op(Opcode::Label);
+  done.label = 2;
+  RtlProgram prog;
+  prog.functions.push_back(function(
+      "main", {imm(1, 2), imm(2, -1), top, branch(Opcode::BranchZ, 2, 1),
+               op(Opcode::Add, 1, 1, 2), branch(Opcode::Jump, 1), done,
+               op(Opcode::Return, kNoReg, 1)}));
+  Counter sink;
+  const RunResult r = run_program(prog, "main", &sink);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.return_value, 0);
+  EXPECT_EQ(sink.events, 2u + 2u * 3u + 1u + 1u);
+  EXPECT_EQ(sink.branches, 3u + 2u + 1u);  // BranchZ x3, Jump x2, Return.
+  const std::uint64_t labels = 3u + 1u;    // `top` three times, `done` once.
+  EXPECT_EQ(sink.events, r.dynamic_insns - labels);
+}
+
 TEST(InterpTest, StoreJustPastArenaEndFailsCleanly) {
   InterpOptions options;
   options.memory_bytes = 1u << 16;
