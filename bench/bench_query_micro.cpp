@@ -49,7 +49,7 @@ double measure_ns_per_query(const View& view,
     }
     queries += static_cast<std::uint64_t>(items.size()) * items.size();
   } while (timer.elapsed_ms() < min_ms);
-  g_sink += sink;
+  g_sink = g_sink + sink;
   return timer.elapsed_ms() * 1e6 / static_cast<double>(queries);
 }
 

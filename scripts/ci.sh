@@ -2,7 +2,8 @@
 # The one definition of every CI gate: the layering lint, tier-1 tests
 # with the verifier/irdep acceptance sweeps, the parallel-execution
 # identity gate, the fuzz smoke, sanitizer runs, clang-tidy, the telemetry
-# stats gate, the compile-service gate, and the bench smoke.  Each job of
+# stats gate, the compile-service gate, the bench smoke, and the
+# end-to-end benchmark's self-test.  Each job of
 # .github/workflows/ci.yml only installs its dependencies and then calls
 # this script with the stages it owns, so the gates cannot drift apart.
 # Stages are selected by name: `scripts/ci.sh tier1 asan` runs only
@@ -310,6 +311,14 @@ stage_bench() {
   ls -l build/BENCH_*.json
 }
 
+stage_perfbench() {
+  # The end-to-end benchmark's own self-test (builds a Release tree in
+  # .bench_build/): a planted wrong value is caught in every workload,
+  # table2's rows equal bench_table2 --json, and the held-out seed runs
+  # clean traced and untraced.
+  python3 perfbench/test_perfbench.py
+}
+
 want layering "${STAGES[@]}" && stage_layering
 want tier1 "${STAGES[@]}" && stage_tier1
 want parexec "${STAGES[@]}" && stage_parexec
@@ -320,4 +329,5 @@ want tidy  "${STAGES[@]}" && stage_tidy
 want stats "${STAGES[@]}" && stage_stats
 want service "${STAGES[@]}" && stage_service
 want bench "${STAGES[@]}" && stage_bench
+want perfbench "${STAGES[@]}" && stage_perfbench
 echo "ci: all requested stages passed"

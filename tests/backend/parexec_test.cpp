@@ -204,6 +204,51 @@ TEST(ParexecEndToEndTest, DoallLoopIsDispatchedAndByteIdentical) {
   }
 }
 
+TEST(ParexecEndToEndTest, MixedIntAndFloatDoallBodyMatchesSerial) {
+  // The chunks run the same decoded instruction stream as serial code:
+  // a DOALL body mixing integer and floating-point arithmetic, loads and
+  // stores of both units must reproduce the serial run exactly.
+  const char* src =
+      "double X[400];\n"
+      "double Y[400];\n"
+      "int K[400];\n"
+      "void emit(int v);\n"
+      "void emitd(double v);\n"
+      "int main() {\n"
+      "  for (int i = 0; i < 400; i = i + 1) { X[i] = i * 0.5; K[i] = i; }\n"
+      "  for (int i = 0; i < 400; i = i + 1) {\n"
+      "    Y[i] = X[i] * 3.0 - K[i] / 4.0;\n"
+      "    K[i] = K[i] * 3 + (X[i] < 100.0) - i % 7;\n"
+      "  }\n"
+      "  emitd(Y[0] + Y[399]);\n"
+      "  emit(K[5] + K[398]);\n"
+      "  return K[200];\n"
+      "}\n";
+  const driver::CompiledProgram compiled = compile_planned(src);
+  bool mixed_plan = false;
+  for (const RtlFunction& f : compiled.rtl.functions) {
+    for (const LoopPlan& plan : f.parexec) {
+      bool int_arith = false;
+      bool fp_arith = false;
+      for (std::uint32_t p = plan.body_begin; p < plan.body_end; ++p) {
+        const Insn& insn = f.insns[p];
+        if (insn.op == Opcode::Mul || insn.op == Opcode::Sub ||
+            insn.op == Opcode::Div) {
+          (insn.is_float ? fp_arith : int_arith) = true;
+        }
+      }
+      if (plan.doall && int_arith && fp_arith) mixed_plan = true;
+    }
+  }
+  ASSERT_TRUE(mixed_plan) << "no planned DOALL body mixes int and fp ops";
+  const RunResult serial = run_threads(compiled, 1);
+  ASSERT_TRUE(serial.ok) << serial.error;
+  const RunResult par = run_threads(compiled, 4);
+  expect_identical(serial, par);
+  EXPECT_GE(par.parexec.loops_parallelized, 1u);
+  EXPECT_GT(par.parexec.chunks, 1u);
+}
+
 TEST(ParexecEndToEndTest, SumReductionIsRecognizedAndExact) {
   const char* src =
       "int A[256];\n"
