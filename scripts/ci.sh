@@ -126,7 +126,11 @@ stage_tsan() {
   cmake -B build-tsan "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSANITIZE=thread
   cmake --build build-tsan -j "$JOBS" \
-    --target driver_tests parexec_tests service_tests hlic
+    --target support_tests driver_tests parexec_tests service_tests hlic
+  # The one thread pool behind compile fan-out, parexec dispatch and the
+  # hlid request workers.
+  TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/support/support_tests \
+    --gtest_filter='ThreadPool*'
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/driver/driver_tests \
     --gtest_filter='Parallel*:*Parallel*:*Parexec*'
   # Compile service under TSan: cross-request HliStore sharing, the
@@ -134,7 +138,7 @@ stage_tsan() {
   # one server.
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/service/service_tests \
     --gtest_filter='StoreSharing*:*Concurrent*'
-  # Parallel loop runtime under TSan: the pool/post-wait unit suite plus
+  # Parallel loop runtime under TSan: the chunk/post-wait unit suite plus
   # a threaded end-to-end subset (DOALL-heavy grids + the DOACROSS
   # post-wait workload).
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/backend/parexec_tests

@@ -13,9 +13,9 @@
 #include <utility>
 #include <vector>
 
-#include "backend/parexec/pool.hpp"
 #include "backend/parexec/runtime.hpp"
 #include "support/telemetry.hpp"
+#include "support/thread_pool.hpp"
 
 namespace hli::backend {
 
@@ -821,8 +821,8 @@ class Interp {
     if (chunks.size() < 2) return decline();
 
     // -- Committed to parallel execution. -------------------------------
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<parexec::WorkerPool>(options_.exec_threads);
+    if (pool_ == nullptr) {  // The caller is lane 0: exec_threads - 1 spawned.
+      pool_ = std::make_unique<support::ThreadPool>(options_.exec_threads - 1);
     }
     parexec::ProgressBoard board(chunks);
     std::atomic<std::size_t> next_chunk{0};
@@ -989,7 +989,7 @@ class Interp {
   std::uint64_t emit_count_ = 0;
   ParexecStats stats_;
   std::unordered_set<const LoopPlan*> dispatched_;
-  std::unique_ptr<parexec::WorkerPool> pool_;
+  std::unique_ptr<support::ThreadPool> pool_;
 };
 
 }  // namespace

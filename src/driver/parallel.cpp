@@ -4,60 +4,12 @@
 #include <exception>
 
 #include "support/telemetry.hpp"
+#include "support/thread_pool.hpp"
 
 namespace hli::driver {
 
 unsigned default_jobs() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
-ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned count = std::max(1u, threads);
-  workers_.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    queue_.push(std::move(job));
-    ++in_flight_;
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and queue drained.
-      job = std::move(queue_.front());
-      queue_.pop();
-    }
-    job();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) idle_.notify_all();
-    }
-  }
+  return support::ThreadPool::hardware_threads();
 }
 
 void parallel_for(std::size_t count, unsigned jobs,
@@ -79,7 +31,7 @@ void parallel_for(std::size_t count, unsigned jobs,
   std::vector<telemetry::CounterSet> task_counters(
       parent != nullptr ? count : 0);
   {
-    ThreadPool pool(static_cast<unsigned>(
+    support::ThreadPool pool(static_cast<unsigned>(
         std::min<std::size_t>(jobs, count)));
     for (std::size_t i = 0; i < count; ++i) {
       pool.submit([&task, &errors, &task_counters, parent, tracer, i] {

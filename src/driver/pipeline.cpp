@@ -821,9 +821,11 @@ CompiledProgram compile_source(std::string_view source,
       audit_boundary("unroll maintenance");
     }
 
-    // First scheduling pass — the instrumented experiment (Table 2).
-    if (options.enable_sched) {
-      const telemetry::Span span("sched", "pass");
+    // Both scheduling passes run with the same options: a fresh HLI view,
+    // the target's latencies and the irdep fallback refreshed first (the
+    // passes before each one — constfold/DCE/unroll, then regalloc —
+    // rewrote the stream).
+    const auto schedule = [&](DepStats& total) {
       const query::HliUnitView view(*entry);
       SchedOptions sched;
       sched.use_hli = options.use_hli;
@@ -831,12 +833,18 @@ CompiledProgram compile_source(std::string_view source,
       const machine::MachineDesc& mach = options.sched_machine;
       sched.latency = [&mach](const Insn& insn) { return mach.latency(insn); };
       if (irdep_oracle) {
-        irdep_oracle->refresh(func);  // Constfold/DCE/unroll rewrote insns.
+        irdep_oracle->refresh(func);
         sched.fallback = &*irdep_oracle;
       }
-      const DepStats sched_stats = schedule_function(func, sched);
-      sched_stats.record_telemetry(options.use_hli);
-      unit_stats.sched += sched_stats;
+      const DepStats stats = schedule_function(func, sched);
+      stats.record_telemetry(options.use_hli);
+      total += stats;
+    };
+
+    // First scheduling pass — the instrumented experiment (Table 2).
+    if (options.enable_sched) {
+      const telemetry::Span span("sched", "pass");
+      schedule(unit_stats.sched);
       verify_boundary("scheduling");
       audit_boundary("scheduling");
     }
@@ -850,19 +858,7 @@ CompiledProgram compile_source(std::string_view source,
       unit_stats.regalloc += ra_stats;
       if (options.enable_sched) {
         const telemetry::Span sched2_span("sched2", "pass");
-        const query::HliUnitView view(*entry);
-        SchedOptions sched;
-        sched.use_hli = options.use_hli;
-        sched.view = &view;
-        const machine::MachineDesc& mach = options.sched_machine;
-        sched.latency = [&mach](const Insn& insn) { return mach.latency(insn); };
-        if (irdep_oracle) {
-          irdep_oracle->refresh(func);  // Regalloc rewrote the stream.
-          sched.fallback = &*irdep_oracle;
-        }
-        const DepStats sched2_stats = schedule_function(func, sched);
-        sched2_stats.record_telemetry(options.use_hli);
-        unit_stats.sched2 += sched2_stats;
+        schedule(unit_stats.sched2);
       }
       verify_boundary("regalloc/post-RA scheduling");
       audit_boundary("regalloc/post-RA scheduling");

@@ -105,11 +105,12 @@ class UnitCache {
 ///                      .with_verify(driver::VerifyMode::Fatal)
 ///                      .with_unroll(4);
 ///
-/// `compile_source` calls `validate()` and rejects incoherent
-/// combinations with actionable diagnostics.  The public fields remain
-/// writable as a compatibility layer for existing callers; new code
-/// should prefer the presets + `with_*` so every constructed
-/// configuration passes through `validate()`'s vocabulary.
+/// `compile_source` runs `validate()` on every configuration it is
+/// handed (`throw_if_invalid`) and rejects incoherent combinations with
+/// actionable diagnostics — whether the options came from the presets +
+/// `with_*` or from writing the public fields directly, so neither path
+/// skips validation.  The fluent layer is the preferred way to build a
+/// configuration because it reads as the experiment it names.
 struct PipelineOptions {
   bool use_hli = true;       ///< Figure 5's flag_use_hli, across all passes.
   VerifyMode verify_hli = VerifyMode::Off;

@@ -116,12 +116,8 @@ Server::~Server() { stop(); }
 void Server::start() {
   if (started_) return;
   started_ = true;
-  const unsigned workers =
-      options_.workers != 0 ? options_.workers : driver::default_jobs();
-  workers_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+  pool_ = std::make_unique<support::ThreadPool>(
+      options_.workers != 0 ? options_.workers : driver::default_jobs());
   acceptor_ = std::thread([this] { acceptor_loop(); });
 }
 
@@ -151,10 +147,7 @@ void Server::stop() {
       if (reader.joinable()) reader.join();
     }
   }
-  queue_ready_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  pool_.reset();  // Runs the requests still queued, then joins.
   if (tcp_fd_ >= 0) ::close(tcp_fd_);
   if (unix_fd_ >= 0) {
     ::close(unix_fd_);
@@ -253,16 +246,15 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
             break;
           }
           case FrameType::Request: {
-            std::unique_lock<std::mutex> lock(queue_mutex_);
-            queue_.push_back(Job{conn, std::move(frame.payload)});
-            const auto depth = static_cast<std::uint64_t>(queue_.size());
-            lock.unlock();
+            const auto depth = static_cast<std::uint64_t>(pool_->submit(
+                [this, job = Job{conn, std::move(frame.payload)}] {
+                  handle_request(job);
+                }));
             std::uint64_t peak =
                 queue_depth_peak_.load(std::memory_order_relaxed);
             while (depth > peak && !queue_depth_peak_.compare_exchange_weak(
                                        peak, depth, std::memory_order_relaxed)) {
             }
-            queue_ready_.notify_one();
             break;
           }
           default:
@@ -281,22 +273,6 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     }
   }
   conn->open.store(false, std::memory_order_release);
-}
-
-void Server::worker_loop() {
-  while (true) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_ready_.wait(lock, [this] {
-        return !queue_.empty() || stopping_.load(std::memory_order_acquire);
-      });
-      if (queue_.empty()) return;  // stopping_ and drained.
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    handle_request(job);
-  }
 }
 
 const hli::HliStore* Server::store_for(const std::string& path) {

@@ -5,10 +5,11 @@
 //     optionally AF_UNIX) and spawns a reader thread per connection;
 //   * each READER decodes frames off its socket; cheap control frames
 //     (Ping/Stats/Shutdown) are answered inline, compile Requests are
-//     enqueued on the bounded job queue;
-//   * WORKER threads drain the queue; each request batch is compiled
-//     through the existing driver::compile_many (which fans units out
-//     again), with the server's CompileCache installed as the
+//     submitted as jobs to the request pool (a support::ThreadPool of
+//     ServerOptions::workers threads);
+//   * the pool's WORKERS run handle_request; each request batch is
+//     compiled through the existing driver::compile_many (which fans
+//     units out again), with the server's CompileCache installed as the
 //     pipeline's unit cache and hot HliStores shared from the mmap
 //     registry — decode-once across requests, not just within one.
 //
@@ -21,7 +22,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,6 +32,7 @@
 #include "hli/store.hpp"
 #include "service/cache.hpp"
 #include "service/wire.hpp"
+#include "support/thread_pool.hpp"
 
 namespace hli::service {
 
@@ -106,7 +107,6 @@ class Server {
 
   void acceptor_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
-  void worker_loop();
   void handle_request(const Job& job);
   void send_frame(Connection& conn, FrameType type,
                   std::string_view payload);
@@ -133,16 +133,14 @@ class Server {
   std::mutex store_mutex_;
   std::unordered_map<std::string, std::unique_ptr<hli::HliStore>> stores_;
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_ready_;
-  std::deque<Job> queue_;
-
   std::mutex threads_mutex_;
   std::vector<std::thread> readers_;
   std::vector<std::weak_ptr<Connection>> connections_;
 
   std::thread acceptor_;
-  std::vector<std::thread> workers_;
+  /// Request workers: created by start(), drained and joined by stop()
+  /// once no reader can submit any more.
+  std::unique_ptr<support::ThreadPool> pool_;
 
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;

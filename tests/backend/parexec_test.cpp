@@ -1,5 +1,6 @@
-// Parallel loop execution runtime tests: the worker pool, the chunk
-// scheduler and post-wait accounting in isolation, then end-to-end
+// Parallel loop execution runtime tests: the chunk scheduler and
+// post-wait accounting in isolation (the pool the interpreter dispatches
+// through is tested in tests/support/thread_pool_test.cpp), then end-to-end
 // determinism — a compiled program run on N lanes must produce the SAME
 // RunResult as serial, dynamic_insns included, whether the loop is
 // DOALL, a recognized reduction, or DOACROSS(d) under the post-wait
@@ -7,66 +8,16 @@
 // surface exactly like serial ones.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "backend/interp.hpp"
-#include "backend/parexec/pool.hpp"
 #include "backend/parexec/runtime.hpp"
 #include "driver/pipeline.hpp"
 
 namespace hli::backend::parexec {
 namespace {
-
-// --- Pool ---------------------------------------------------------------
-
-TEST(WorkerPoolTest, RunsEveryLaneIncludingCaller) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  std::vector<std::atomic<int>> hits(4);
-  pool.run([&](unsigned lane) { hits[lane].fetch_add(1); });
-  for (unsigned lane = 0; lane < 4; ++lane) {
-    EXPECT_EQ(hits[lane].load(), 1) << "lane " << lane;
-  }
-}
-
-TEST(WorkerPoolTest, RunIsReusableAcrossGenerations) {
-  WorkerPool pool(3);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 16; ++round) {
-    pool.run([&](unsigned) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 16 * 3);
-}
-
-TEST(WorkerPoolTest, FirstJobExceptionRethrownAfterJoin) {
-  WorkerPool pool(4);
-  std::atomic<int> completed{0};
-  try {
-    pool.run([&](unsigned lane) {
-      if (lane == 2) throw std::runtime_error("lane 2 faulted");
-      completed.fetch_add(1);
-    });
-    FAIL() << "expected the job exception to be rethrown";
-  } catch (const std::exception& e) {
-    EXPECT_NE(std::string(e.what()).find("lane 2 faulted"),
-              std::string::npos);
-  }
-  // run() is a barrier even on error: the healthy lanes all finished.
-  EXPECT_EQ(completed.load(), 3);
-}
-
-TEST(WorkerPoolTest, SingleLanePoolRunsInline) {
-  WorkerPool pool(1);
-  int hits = 0;
-  pool.run([&](unsigned lane) {
-    EXPECT_EQ(lane, 0u);
-    ++hits;
-  });
-  EXPECT_EQ(hits, 1);
-}
 
 // --- Chunk scheduling ---------------------------------------------------
 

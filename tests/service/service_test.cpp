@@ -287,6 +287,8 @@ TEST(ServiceTest, PingStatsAndShutdown) {
   EXPECT_GE(Client::counter_value(counters, "service.requests"), 1u);
   EXPECT_GT(Client::counter_value(counters, "service.units_compiled"), 0u);
   EXPECT_EQ(Client::counter_value(counters, "service.no_such_counter"), 0u);
+  // The request went through the worker pool's queue: submit() counts it.
+  EXPECT_GE(Client::counter_value(counters, "service.queue_depth_peak"), 1u);
   client.request_shutdown();
   fixture.server->wait_for_shutdown();  // Returns promptly, no hang.
 }
